@@ -33,7 +33,7 @@ struct Fixture {
 void BM_FullPipeline(benchmark::State& state) {
   Fixture fx;
   core::PipelineOptions opts;
-  opts.backend = backend_of(state.range(0));
+  opts.checks.backend = backend_of(state.range(0));
   bool ok = false;
   for (auto _ : state) {
     core::Pipeline pipeline(fx.model, core::exclusive_cpus(fx.model), *fx.pl,
@@ -54,8 +54,8 @@ void BM_PipelineStageAblation(benchmark::State& state) {
   const char* label = "all-stages";
   switch (state.range(0)) {
     case 1: opts.check_allocation = false; label = "no-allocation"; break;
-    case 2: opts.check_syntax = false; label = "no-syntax"; break;
-    case 3: opts.check_semantics = false; label = "no-semantics"; break;
+    case 2: opts.checks.syntax = false; label = "no-syntax"; break;
+    case 3: opts.checks.semantics = false; label = "no-semantics"; break;
     case 4: opts.emit_dtb = false; label = "no-dtb"; break;
     default: break;
   }
@@ -101,7 +101,7 @@ BENCHMARK(BM_PipelineParallel)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 // workload): exhaustive per-pair solving vs the planned path vs a warm
 // persistent cache. Counters expose the trace totals the --trace-json
 // output reports, so the ratio is auditable from the benchmark output.
-//   mode 0 — exhaustive (plan_queries=false)
+//   mode 0 — exhaustive (checks.plan=false)
 //   mode 1 — planned (sweep-line + bucket prefilters, batched queries)
 //   mode 2 — planned with a pre-populated --cache-dir (warm: zero queries)
 void BM_PipelineEightVmPlanner(benchmark::State& state) {
@@ -115,14 +115,14 @@ void BM_PipelineEightVmPlanner(benchmark::State& state) {
   const int64_t mode = state.range(0);
   core::PipelineOptions opts;
   opts.check_allocation = false;
-  opts.plan_queries = mode != 0;
+  opts.checks.plan = mode != 0;
   std::string cache_dir;
   if (mode == 2) {
     cache_dir =
         (std::filesystem::temp_directory_path() / "llhsc-bench-pipeline-qc")
             .string();
     std::filesystem::remove_all(cache_dir);
-    opts.cache_dir = cache_dir;
+    opts.checks.cache_dir = cache_dir;
     core::Pipeline warmup(fx.model, core::exclusive_cpus(fx.model), *fx.pl,
                           fx.schemas, opts);
     benchmark::DoNotOptimize(warmup.run(vms));
@@ -133,7 +133,7 @@ void BM_PipelineEightVmPlanner(benchmark::State& state) {
                             fx.schemas, opts);
     core::PipelineResult result = pipeline.run(vms);
     checks = issued = pruned = hits = 0;
-    for (const core::StageTrace& s : result.trace.stages) {
+    for (const obs::StageSummary& s : result.trace.summary.stages) {
       if (s.stage != "semantic") continue;
       checks += s.solver_checks;
       issued += s.queries_issued;
@@ -198,7 +198,7 @@ void BM_PipelineEightVmNoGraph(benchmark::State& state) {
   }
   core::PipelineOptions opts;
   opts.check_allocation = false;
-  opts.check_graph = false;
+  opts.checks.graph = false;
   bool ok = false;
   for (auto _ : state) {
     core::Pipeline pipeline(fx.model, core::exclusive_cpus(fx.model), *fx.pl,
@@ -221,7 +221,7 @@ void BM_PipelineFaultDetection(benchmark::State& state) {
   std::vector<core::VmSpec> vms{{"vm1", core::fig1b_features()},
                                 {"vm2", core::fig1c_features()}};
   core::PipelineOptions opts;
-  opts.backend = backend_of(state.range(0));
+  opts.checks.backend = backend_of(state.range(0));
   size_t findings = 0;
   for (auto _ : state) {
     core::Pipeline pipeline(model, core::exclusive_cpus(model), *pl, schemas,

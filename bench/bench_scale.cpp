@@ -27,9 +27,9 @@
 #include <thread>
 #include <vector>
 
-#include "server/json.hpp"
+#include "support/json.hpp"
 
-using llhsc::server::Json;
+using llhsc::support::Json;
 
 namespace {
 

@@ -11,6 +11,8 @@
 #include <iomanip>
 #include <iostream>
 
+#include "checkers/semantic.hpp"
+#include "checkers/syntactic.hpp"
 #include "core/pipeline.hpp"
 #include "core/running_example.hpp"
 #include "feature/analysis.hpp"

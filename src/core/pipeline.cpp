@@ -1,11 +1,7 @@
 #include "core/pipeline.hpp"
 
-#include <atomic>
 #include <chrono>
-#include <functional>
 
-#include "checkers/graph/graph.hpp"
-#include "checkers/graph/rules.hpp"
 #include "dts/printer.hpp"
 #include "fdt/fdt.hpp"
 #include "obs/summary.hpp"
@@ -23,11 +19,10 @@ double ms_since(Clock::time_point start) {
 }
 
 /// Everything one worker produces for one tree (a VM, or the platform as the
-/// last unit). Findings arrive as per-stage chunks, each location-sorted
-/// before it is appended, so the merged report is independent of how the
-/// units were scheduled across threads. The unit's obs events (stage spans +
-/// solver/planner counters) travel the same way and are reduced into
-/// StageTrace rows at merge time.
+/// last unit). The battery's findings are deterministic per tree, so the
+/// merged report is independent of how the units were scheduled across
+/// threads. The unit's obs events (stage spans + solver/planner counters)
+/// travel the same way and are reduced into the trace after the merge.
 struct UnitResult {
   std::unique_ptr<dts::Tree> tree;
   checkers::Findings findings;
@@ -43,23 +38,7 @@ struct UnitResult {
   std::string qemu_command;
   baogen::PlatformConfig platform_config;
   std::string platform_config_c;
-
-  /// The fail-fast abort fired before this unit started.
-  bool skipped = false;
 };
-
-/// Reduces an event stream into StageTrace rows (docs/observability.md):
-/// one row per stage span, counters attributed by (unit, scope).
-void append_reduced_stages(const std::vector<obs::Event>& events,
-                           std::vector<StageTrace>& out) {
-  obs::Summary summary = obs::reduce(events);
-  for (const obs::StageSummary& row : summary.stages) {
-    out.push_back(StageTrace{row.unit, row.stage, row.wall_ms,
-                             row.solver_checks, row.findings,
-                             row.queries_issued, row.queries_pruned,
-                             row.cache_hits, row.cache_errors});
-  }
-}
 
 }  // namespace
 
@@ -81,17 +60,17 @@ PipelineResult Pipeline::run(const std::vector<VmSpec>& vms) {
 
   // -- Stage 1: resource allocation (§IV-A) --
   // Inherently global (exclusivity reasons across every VM at once), so it
-  // runs serially before the per-VM units fan out. Its events (and the
-  // reduced StageTrace row) lead the merged stream.
-  obs::TraceSink alloc_sink;
+  // runs serially before the per-VM units fan out. Its events lead the
+  // merged stream.
   if (options_.check_allocation) {
+    obs::TraceSink alloc_sink;
     {
       obs::ScopedSink sink_guard(&alloc_sink);
       obs::ScopedUnit unit_guard("*");
       obs::ScopedScope scope_guard("allocation");
       obs::Span span("stage.allocation", "stage");
       checkers::ResourceAllocationChecker rac(*model_, exclusive_,
-                                              options_.backend);
+                                              options_.checks.backend);
       std::vector<std::set<std::string>> features;
       features.reserve(vms.size());
       for (const VmSpec& vm : vms) features.push_back(vm.features);
@@ -103,13 +82,6 @@ PipelineResult Pipeline::run(const std::vector<VmSpec>& vms) {
                              alloc.end());
     }
     result.events = alloc_sink.take();
-    append_reduced_stages(result.events, result.trace.stages);
-    if (options_.fail_fast && checkers::error_count(result.findings) > 0) {
-      result.trace.complete = false;
-      result.trace.total_ms = ms_since(run_start);
-      result.ok = false;
-      return result;
-    }
   }
 
   // -- Stages 2-5 as independent work units: one per VM, platform last --
@@ -120,14 +92,9 @@ PipelineResult Pipeline::run(const std::vector<VmSpec>& vms) {
 
   const size_t unit_count = vms.size() + 1;
   std::vector<UnitResult> units(unit_count);
-  // Fail-fast across units is best-effort: an error in one unit stops units
-  // that have not started yet; units already running finish their current
-  // stage. Everything collected is merged regardless.
-  std::atomic<bool> abort{false};
 
   // The stage logic for one unit. Stage identities and counters are
-  // recorded as obs events into the ambient (per-unit) sink; StageTrace
-  // rows are reduced from them at merge time.
+  // recorded as obs events into the ambient (per-unit) sink.
   auto unit_body = [&](size_t idx, UnitResult& u, bool is_platform) {
     // Stage 2: delta application (§III-B).
     {
@@ -136,74 +103,11 @@ PipelineResult Pipeline::run(const std::vector<VmSpec>& vms) {
       u.tree = product_line_->derive(
           is_platform ? platform_features : vms[idx].features, u.diagnostics);
     }
-    if (u.tree == nullptr || u.diagnostics.has_errors()) {
-      if (options_.fail_fast) abort.store(true, std::memory_order_relaxed);
-      if (u.tree == nullptr) return;
-    }
+    if (u.tree == nullptr) return;
 
-    // Stages 3+4 (+ lint): each stage is one chunk; sorted on arrival.
-    // `span_name` is the stage's span identity ("stage." + stage); both are
-    // literals because spans keep only the pointer until they record.
-    // Returns false when fail-fast ends the unit at this stage.
-    auto run_stage = [&](const char* stage, const char* span_name,
-                         const std::function<checkers::Findings()>& fn)
-        -> bool {
-      checkers::Findings f;
-      {
-        obs::ScopedScope scope_guard(stage);
-        obs::Span span(span_name, "stage");
-        f = fn();
-        obs::count("stage.findings", "stage", static_cast<int64_t>(f.size()));
-      }
-      checkers::sort_by_location(f);
-      const bool had_errors = checkers::error_count(f) > 0;
-      u.findings.insert(u.findings.end(), f.begin(), f.end());
-      if (had_errors && options_.fail_fast) {
-        abort.store(true, std::memory_order_relaxed);
-        return false;
-      }
-      return true;
-    };
-
-    const bool check_this = !is_platform || options_.check_platform;
-    if (check_this && options_.check_lint) {
-      if (!run_stage("lint", "stage.lint", [&] {
-            return checkers::LintChecker().check(*u.tree);
-          })) {
-        return;
-      }
-    }
-    if (check_this && options_.check_graph) {
-      if (!run_stage("graph", "stage.graph", [&] {
-            u.graph = std::make_shared<const checkers::graph::DeviceGraph>(
-                checkers::graph::DeviceGraph::build(*u.tree));
-            checkers::graph::GraphChecker checker{
-                checkers::graph::RuleOptions{}};
-            return checker.check(*u.graph);
-          })) {
-        return;
-      }
-    }
-    if (check_this && options_.check_syntax) {
-      if (!run_stage("syntactic", "stage.syntactic", [&] {
-            checkers::SyntacticChecker syn(*schemas_, options_.backend);
-            return syn.check(*u.tree);
-          })) {
-        return;
-      }
-    }
-    if (check_this && options_.check_semantics) {
-      if (!run_stage("semantic", "stage.semantic", [&] {
-            checkers::SemanticOptions sem_options;
-            sem_options.solver_timeout_ms = options_.solver_timeout_ms;
-            sem_options.plan = options_.plan_queries;
-            sem_options.cache_dir = options_.cache_dir;
-            checkers::SemanticChecker sem(options_.backend, sem_options);
-            return sem.check(*u.tree);
-          })) {
-        return;
-      }
-    }
+    // Stages 3-4: the checker battery.
+    u.findings =
+        checkers::run_battery(*u.tree, *schemas_, options_.checks, &u.graph);
 
     // Stage 5: artifact emission.
     {
@@ -230,10 +134,6 @@ PipelineResult Pipeline::run(const std::vector<VmSpec>& vms) {
 
   auto run_unit = [&](size_t idx) {
     UnitResult& u = units[idx];
-    if (options_.fail_fast && abort.load(std::memory_order_relaxed)) {
-      u.skipped = true;
-      return;
-    }
     const bool is_platform = idx == vms.size();
     const std::string unit_name = is_platform ? "platform" : vms[idx].name;
     // One sink per unit: events from concurrent units never interleave, and
@@ -258,11 +158,9 @@ PipelineResult Pipeline::run(const std::vector<VmSpec>& vms) {
   // -- Deterministic merge in VM declaration order (platform last) --
   for (size_t idx = 0; idx < unit_count; ++idx) {
     UnitResult& u = units[idx];
-    if (u.skipped) continue;
     result.findings.insert(result.findings.end(), u.findings.begin(),
                            u.findings.end());
     result.diagnostics.merge(u.diagnostics);
-    append_reduced_stages(u.events, result.trace.stages);
     result.events.insert(result.events.end(),
                          std::make_move_iterator(u.events.begin()),
                          std::make_move_iterator(u.events.end()));
@@ -285,49 +183,37 @@ PipelineResult Pipeline::run(const std::vector<VmSpec>& vms) {
     }
   }
 
-  // -- Cross-unit graph analysis over the VM graphs (platform excluded) --
-  // Serial by design, after the deterministic merge: its findings always
-  // follow every unit's, regardless of --jobs.
-  const bool aborted = abort.load(std::memory_order_relaxed);
-  if (options_.check_graph && !aborted && vms.size() >= 2) {
-    std::vector<checkers::graph::UnitGraph> vm_graphs;
-    for (size_t idx = 0; idx < vms.size(); ++idx) {
-      if (units[idx].graph != nullptr) {
-        vm_graphs.push_back({vms[idx].name, units[idx].graph.get()});
-      }
-    }
-    if (vm_graphs.size() >= 2) {
-      obs::TraceSink cross_sink;
-      {
-        obs::ScopedSink sink_guard(&cross_sink);
-        obs::ScopedUnit unit_guard("*");
-        obs::ScopedScope scope_guard("graph");
-        obs::Span span("stage.graph-cross", "stage");
-        checkers::Findings cross =
-            checkers::graph::check_exclusive_providers(vm_graphs);
-        checkers::sort_by_location(cross);
-        obs::count("stage.findings", "stage",
-                   static_cast<int64_t>(cross.size()));
-        result.findings.insert(result.findings.end(), cross.begin(),
-                               cross.end());
-      }
-      std::vector<obs::Event> cross_events = cross_sink.take();
-      append_reduced_stages(cross_events, result.trace.stages);
-      result.events.insert(result.events.end(),
-                           std::make_move_iterator(cross_events.begin()),
-                           std::make_move_iterator(cross_events.end()));
+  // -- Stage 6: cross-unit graph analysis over the VM graphs (platform
+  // excluded). Serial by design, after the deterministic merge: its findings
+  // always follow every unit's, regardless of --jobs.
+  std::vector<checkers::graph::UnitGraph> vm_graphs;
+  for (size_t idx = 0; idx < vms.size(); ++idx) {
+    if (units[idx].graph != nullptr) {
+      vm_graphs.push_back({vms[idx].name, units[idx].graph.get()});
     }
   }
-
-  if (!aborted) {
-    std::vector<baogen::VmConfig> vm_configs;
-    vm_configs.reserve(result.vms.size());
-    for (const GeneratedVm& vm : result.vms) vm_configs.push_back(vm.config);
-    result.vm_config_c = baogen::render_config_c(
-        baogen::assemble_config(std::move(vm_configs)));
+  if (vm_graphs.size() >= 2) {
+    obs::TraceSink cross_sink;
+    {
+      obs::ScopedSink sink_guard(&cross_sink);
+      obs::ScopedUnit unit_guard("*");
+      checkers::Findings cross = checkers::run_cross_unit(vm_graphs);
+      result.findings.insert(result.findings.end(), cross.begin(),
+                             cross.end());
+    }
+    std::vector<obs::Event> cross_events = cross_sink.take();
+    result.events.insert(result.events.end(),
+                         std::make_move_iterator(cross_events.begin()),
+                         std::make_move_iterator(cross_events.end()));
   }
 
-  result.trace.complete = !aborted;
+  std::vector<baogen::VmConfig> vm_configs;
+  vm_configs.reserve(result.vms.size());
+  for (const GeneratedVm& vm : result.vms) vm_configs.push_back(vm.config);
+  result.vm_config_c = baogen::render_config_c(
+      baogen::assemble_config(std::move(vm_configs)));
+
+  result.trace.summary = obs::reduce(result.events);
   result.trace.total_ms = ms_since(run_start);
   result.ok = result.error_count() == 0;
   return result;

@@ -5,9 +5,10 @@
 //   1. resource-allocation check (§IV-A) of the VM configurations
 //   2. delta activation/ordering/application -> one DTS per VM, plus the
 //      platform DTS derived from the union of VM selections (§III-A)
-//   3. syntactic check (§IV-B) of every generated DTS
-//   4. semantic check (§IV-C) of every generated DTS
+//   3-4. the checker battery (checkers/battery.hpp) on every generated DTS:
+//      lint, crossref, graph, syntactic (§IV-B), semantic (§IV-C)
 //   5. artifact emission: DTS text, DTB blobs, Bao platform + VM config C
+//   6. the cross-unit graph analysis over the VM device graphs
 //
 // Every finding carries delta provenance, so a failing product names the
 // delta module that caused it.
@@ -19,11 +20,9 @@
 #include <vector>
 
 #include "baogen/baogen.hpp"
+#include "checkers/battery.hpp"
 #include "checkers/finding.hpp"
-#include "checkers/lint.hpp"
 #include "checkers/resource_allocation.hpp"
-#include "checkers/semantic.hpp"
-#include "checkers/syntactic.hpp"
 #include "core/trace.hpp"
 #include "delta/delta.hpp"
 #include "feature/analysis.hpp"
@@ -38,41 +37,17 @@ struct VmSpec {
 };
 
 struct PipelineOptions {
-  smt::Backend backend = smt::Backend::kBuiltin;
+  /// The checker battery run on every generated DTS, platform included.
+  /// Its graph toggle also gates the cross-unit analysis over VM graphs.
+  checkers::BatteryOptions checks;
   bool check_allocation = true;
-  bool check_syntax = true;
-  bool check_semantics = true;
-  /// dtc-style structural warnings on every generated DTS.
-  bool check_lint = true;
-  /// Device-graph dataflow rules (checkers/graph/) on every generated DTS,
-  /// plus the cross-unit exclusive-provider analysis over the VM graphs.
-  bool check_graph = true;
-  /// Also run the checkers on the derived platform DTS.
-  bool check_platform = true;
   /// Emit DTB blobs for every generated DTS.
   bool emit_dtb = true;
-  /// Stop at the first failing stage (true) or run all checks (false).
-  /// Findings and trace entries collected before the stop are always kept
-  /// and merged — fail-fast bounds the work, never the report.
-  bool fail_fast = false;
   /// Worker threads for the per-VM stages 2-5 (1 = serial, 0 = one per
   /// hardware thread). Every VM is an independent work unit with its own
   /// solver and diagnostics; results merge in VM declaration order, so
   /// findings, diagnostics and artifacts are byte-identical for any value.
   unsigned jobs = 1;
-  /// Per-tree wall-clock budget for the semantic checker's solver work, in
-  /// ms (0 = unlimited). Expiry yields a kSolverTimeout error finding.
-  uint64_t solver_timeout_ms = 0;
-  /// Route semantic-checker queries through the smt::QueryPlanner (sweep-
-  /// line / hash-bucket prefilters + batched assumption-guarded solving).
-  /// Findings are byte-identical either way; false restores the exhaustive
-  /// one-query-per-pair path for A/B comparison.
-  bool plan_queries = true;
-  /// Directory for the persistent query-result cache shared by every unit
-  /// (empty = no cache). With a warm cache the semantic stages issue zero
-  /// solver queries on unchanged input. See smt::QueryCache for the
-  /// invalidation scheme.
-  std::string cache_dir;
 };
 
 struct GeneratedVm {
@@ -89,9 +64,8 @@ struct PipelineResult {
   bool ok = false;
   checkers::Findings findings;
   support::DiagnosticEngine diagnostics;
-  /// Per-stage wall time / solver checks / finding counts, reduced from
-  /// `events` (one row per stage span). Populated even when the run aborts
-  /// early (trace.complete is false then).
+  /// Per-stage wall time / solver checks / finding counts: one reduction of
+  /// `events`, rendered by --trace-json and --verbose.
   PipelineTrace trace;
   /// The raw obs event stream the trace was reduced from: stage spans,
   /// per-query solver/planner spans, cache counters. Ordered allocation

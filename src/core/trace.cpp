@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iomanip>
 #include <sstream>
+#include <utility>
 
 #include "support/json.hpp"
 
@@ -16,59 +17,36 @@ std::string format_ms(double ms) {
   return os.str();
 }
 
+/// The document's run-wide totals: (JSON key, counter name).
+constexpr std::pair<const char*, const char*> kTotals[] = {
+    {"solver_checks", "solver.checks"},
+    {"queries_issued", "planner.queries_issued"},
+    {"queries_pruned", "planner.queries_pruned"},
+    {"cache_hits", "planner.cache_hits"},
+    {"cache_errors", "planner.cache_errors"},
+    {"findings", "stage.findings"},
+};
+
+/// Run-wide total of one counter. Every counter of a pipeline run is
+/// recorded under some stage's scope, so this equals the sum of the rows.
+uint64_t total(const obs::Summary& summary, std::string_view name) {
+  const int64_t v = summary.counter(name);
+  return v > 0 ? static_cast<uint64_t>(v) : 0;
+}
+
 }  // namespace
-
-uint64_t PipelineTrace::total_solver_checks() const {
-  uint64_t n = 0;
-  for (const StageTrace& s : stages) n += s.solver_checks;
-  return n;
-}
-
-size_t PipelineTrace::total_findings() const {
-  size_t n = 0;
-  for (const StageTrace& s : stages) n += s.findings;
-  return n;
-}
-
-uint64_t PipelineTrace::total_queries_issued() const {
-  uint64_t n = 0;
-  for (const StageTrace& s : stages) n += s.queries_issued;
-  return n;
-}
-
-uint64_t PipelineTrace::total_queries_pruned() const {
-  uint64_t n = 0;
-  for (const StageTrace& s : stages) n += s.queries_pruned;
-  return n;
-}
-
-uint64_t PipelineTrace::total_cache_hits() const {
-  uint64_t n = 0;
-  for (const StageTrace& s : stages) n += s.cache_hits;
-  return n;
-}
-
-uint64_t PipelineTrace::total_cache_errors() const {
-  uint64_t n = 0;
-  for (const StageTrace& s : stages) n += s.cache_errors;
-  return n;
-}
 
 std::string PipelineTrace::to_json() const {
   using support::Json;
   Json doc = Json::object();
-  doc.set("schema_version", Json::integer(1));
+  doc.set("schema_version", Json::integer(2));
   doc.set("jobs", Json::unsigned_integer(jobs));
   doc.set("total_ms", Json::number(total_ms));
-  doc.set("complete", Json::boolean(complete));
-  doc.set("solver_checks", Json::unsigned_integer(total_solver_checks()));
-  doc.set("queries_issued", Json::unsigned_integer(total_queries_issued()));
-  doc.set("queries_pruned", Json::unsigned_integer(total_queries_pruned()));
-  doc.set("cache_hits", Json::unsigned_integer(total_cache_hits()));
-  doc.set("cache_errors", Json::unsigned_integer(total_cache_errors()));
-  doc.set("findings", Json::unsigned_integer(total_findings()));
+  for (const auto& [key, counter] : kTotals) {
+    doc.set(key, Json::unsigned_integer(total(summary, counter)));
+  }
   Json stage_rows = Json::array();
-  for (const StageTrace& s : stages) {
+  for (const obs::StageSummary& s : summary.stages) {
     Json row = Json::object();
     row.set("unit", Json::string(s.unit));
     row.set("stage", Json::string(s.stage));
@@ -87,7 +65,7 @@ std::string PipelineTrace::to_json() const {
 
 std::string PipelineTrace::render_table() const {
   size_t unit_w = 4, stage_w = 5;
-  for (const StageTrace& s : stages) {
+  for (const obs::StageSummary& s : summary.stages) {
     unit_w = std::max(unit_w, s.unit.size());
     stage_w = std::max(stage_w, s.stage.size());
   }
@@ -98,7 +76,7 @@ std::string PipelineTrace::render_table() const {
      << "checks" << "  " << std::setw(7) << "issued" << "  " << std::setw(7)
      << "pruned" << "  " << std::setw(7) << "cached" << "  " << std::setw(8)
      << "findings" << '\n';
-  for (const StageTrace& s : stages) {
+  for (const obs::StageSummary& s : summary.stages) {
     os << std::left << std::setw(static_cast<int>(unit_w)) << s.unit << "  "
        << std::setw(static_cast<int>(stage_w)) << s.stage << "  "
        << std::right << std::setw(10) << format_ms(s.wall_ms) << "  "
@@ -108,14 +86,15 @@ std::string PipelineTrace::render_table() const {
        << s.findings << '\n';
   }
   os << "total " << format_ms(total_ms) << " ms, "
-     << total_solver_checks() << " solver checks, " << total_queries_issued()
-     << " issued, " << total_queries_pruned() << " pruned, "
-     << total_cache_hits() << " cache hits, ";
-  if (total_cache_errors() > 0) {
-    os << total_cache_errors() << " cache errors, ";
+     << total(summary, "solver.checks") << " solver checks, "
+     << total(summary, "planner.queries_issued") << " issued, "
+     << total(summary, "planner.queries_pruned") << " pruned, "
+     << total(summary, "planner.cache_hits") << " cache hits, ";
+  if (const uint64_t errors = total(summary, "planner.cache_errors")) {
+    os << errors << " cache errors, ";
   }
-  os << total_findings() << " findings, jobs=" << jobs
-     << (complete ? "" : " (incomplete: fail-fast abort)") << '\n';
+  os << total(summary, "stage.findings") << " findings, jobs=" << jobs
+     << '\n';
   return os.str();
 }
 

@@ -43,7 +43,7 @@ void set_enabled(bool on);
 struct Event {
   enum class Kind : uint8_t { kSpan, kCounter };
   Kind kind = Kind::kSpan;
-  std::string name;      // "stage.semantic", "solver.check", "qcache.hit" …
+  std::string name;      // "stage.<name>", "solver.check", "qcache.hit" …
   std::string category;  // "stage" | "solver" | "planner" | "qcache" |
                          // "store" | "request" | "client"
   std::string unit;      // VM name, "platform", "*", or "" (ambient)

@@ -1,6 +1,7 @@
 // The aggregated-summary reduction over a raw event stream. This is the
-// single source behind every numeric observability surface: core::
-// PipelineTrace rows, `check --stats`, and the daemon's per-check counters
+// single source behind every numeric observability surface: the pipeline
+// trace (core::PipelineTrace::summary, rendered by --trace-json and
+// --verbose), `check --stats`, and the daemon's per-check counters
 // are all built from `reduce()` output (asserted by tests/obs/obs_test.cpp),
 // so the CLI and the daemon cannot disagree by construction.
 #pragma once

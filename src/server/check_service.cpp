@@ -1,16 +1,10 @@
 #include "server/check_service.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <sstream>
 
-#include "checkers/crossref/rules.hpp"
-#include "checkers/graph/rules.hpp"
-#include "checkers/lint.hpp"
 #include "checkers/report.hpp"
-#include "checkers/semantic.hpp"
 #include "checkers/suppress.hpp"
-#include "checkers/syntactic.hpp"
 #include "dts/parser.hpp"
 #include "obs/obs.hpp"
 #include "obs/summary.hpp"
@@ -21,26 +15,6 @@
 namespace llhsc::server {
 
 namespace {
-
-smt::Backend resolve_backend(const CheckRequest& request,
-                             std::string& error_text) {
-  if (request.backend == "z3") return smt::Backend::kZ3;
-  if (request.backend == "portfolio") return smt::Backend::kPortfolio;
-  if (request.backend != "builtin") {
-    error_text += "warning: unknown backend '" + request.backend +
-                  "', using builtin\n";
-  }
-  return smt::Backend::kBuiltin;
-}
-
-/// The CLI's --disable-rule / --rule-severity mapping, error text included
-/// byte-for-byte (one shared parser, checkers/crossref/rules.cpp). nullopt
-/// means reject with exit 2.
-std::optional<checkers::crossref::CrossRefOptions> crossref_options_from(
-    const CheckRequest& request, std::string& error_text) {
-  return checkers::crossref::parse_rule_options(
-      request.disable_rule, request.rule_severity, error_text);
-}
 
 void render_outcome(const CheckRequest& request,
                     const checkers::Findings& findings, CheckOutcome& out) {
@@ -89,13 +63,44 @@ uint64_t check_options_fingerprint(const CheckRequest& request) {
   return support::fnv1a64(os.str());
 }
 
-CheckArtifact run_checkers(const dts::Tree& tree, const CheckRequest& request,
-                           const schema::SchemaSet* schemas,
-                           const checkers::graph::DeviceGraph* graph) {
-  CheckArtifact art;
-  std::string scratch;  // backend warning already emitted by run_check
-  const smt::Backend backend = resolve_backend(request, scratch);
+std::optional<checkers::BatteryOptions> battery_options(
+    const CheckRequest& request, std::string& error_text,
+    std::string& backend_warning) {
+  auto rules = checkers::crossref::parse_rule_options(
+      request.disable_rule, request.rule_severity, error_text);
+  if (!rules) return std::nullopt;
+  checkers::BatteryOptions options;
+  options.lint = request.lint;
+  options.crossref = request.crossref;
+  options.graph = request.graph;
+  options.syntax = request.syntax;
+  options.semantics = request.semantics;
+  options.backend = smt::backend_from_name(request.backend, backend_warning);
+  options.solver_timeout_ms = request.solver_timeout_ms;
+  options.plan = request.plan;
+  options.cache_dir = request.cache_dir;
+  options.rules = std::move(*rules);
+  return options;
+}
 
+std::optional<schema::SchemaSet> load_schemas(const std::string& schemas_text,
+                                              std::string& error_text) {
+  if (schemas_text.empty()) return schema::builtin_schemas();
+  schema::SchemaSet schemas;
+  support::DiagnosticEngine diags;
+  schema::load_schema_stream(schemas_text, schemas, diags);
+  if (diags.has_errors()) {
+    error_text += diags.render();
+    return std::nullopt;
+  }
+  return schemas;
+}
+
+CheckArtifact check_tree(
+    const dts::Tree& tree, const schema::SchemaSet& schemas,
+    const checkers::BatteryOptions& options,
+    std::shared_ptr<const checkers::graph::DeviceGraph> graph) {
+  CheckArtifact art;
   // The battery records into a local sink first: the artifact's counters are
   // a reduction of that stream (the same obs::reduce behind --trace-json and
   // the daemon stats reply), and the raw events then splice into whatever
@@ -104,54 +109,8 @@ CheckArtifact run_checkers(const dts::Tree& tree, const CheckRequest& request,
   obs::TraceSink local;
   {
     obs::ScopedSink sink_guard(&local);
-    auto run_stage = [&](const char* stage, const char* span_name,
-                         const std::function<checkers::Findings()>& fn) {
-      obs::ScopedScope scope_guard(stage);
-      obs::Span span(span_name, "stage");
-      checkers::Findings f = fn();
-      obs::count("stage.findings", "stage", static_cast<int64_t>(f.size()));
-      art.findings.insert(art.findings.end(), f.begin(), f.end());
-    };
-
-    if (request.lint) {
-      run_stage("lint", "stage.lint",
-                [&] { return checkers::LintChecker().check(tree); });
-    }
-    if (request.crossref) {
-      run_stage("crossref", "stage.crossref", [&] {
-        auto xopts = crossref_options_from(request, scratch);
-        checkers::crossref::CrossRefChecker checker(
-            xopts ? *xopts : checkers::crossref::CrossRefOptions{});
-        return checker.check(tree);
-      });
-    }
-    if (request.graph) {
-      run_stage("graph", "stage.graph", [&] {
-        auto xopts = crossref_options_from(request, scratch);
-        checkers::graph::GraphChecker checker(
-            xopts ? *xopts : checkers::graph::RuleOptions{});
-        if (graph != nullptr) return checker.check(*graph);
-        const checkers::graph::DeviceGraph built =
-            checkers::graph::DeviceGraph::build(tree);
-        return checker.check(built);
-      });
-    }
-    if (request.syntax && schemas != nullptr) {
-      run_stage("syntactic", "stage.syntactic", [&] {
-        checkers::SyntacticChecker checker(*schemas, backend);
-        return checker.check(tree);
-      });
-    }
-    if (request.semantics) {
-      run_stage("semantic", "stage.semantic", [&] {
-        checkers::SemanticOptions sem_options;
-        sem_options.solver_timeout_ms = request.solver_timeout_ms;
-        sem_options.plan = request.plan;
-        sem_options.cache_dir = request.cache_dir;
-        checkers::SemanticChecker checker(backend, sem_options);
-        return checker.check(tree);
-      });
-    }
+    art.findings = checkers::run_battery(tree, schemas, options,
+                                         graph != nullptr ? &graph : nullptr);
   }
 
   std::vector<obs::Event> events = local.take();
@@ -182,7 +141,10 @@ CheckOutcome run_check(const CheckRequest& request, ArtifactStore* store) {
     out.exit_code = 2;
     return out;
   }
-  if (!crossref_options_from(request, out.error_text)) {
+  std::string backend_warning;
+  const std::optional<checkers::BatteryOptions> options =
+      battery_options(request, out.error_text, backend_warning);
+  if (!options) {
     out.exit_code = 2;
     return out;
   }
@@ -230,26 +192,17 @@ CheckOutcome run_check(const CheckRequest& request, ArtifactStore* store) {
   }
 
   // The backend warning is emitted here — after the parse, like the CLI.
-  std::string backend_warning;
-  resolve_backend(request, backend_warning);
   out.error_text += backend_warning;
 
   // Schema-set resolution before the (cacheable) checker battery, so an
   // exit-2 never has to come out of a cached verdict. Matches the CLI's
   // lazy schemas_from(): parse errors surface only when syntax runs.
-  schema::SchemaSet schemas;
-  if (request.syntax) {
-    if (!request.schemas_text.empty()) {
-      support::DiagnosticEngine diags;
-      schema::load_schema_stream(request.schemas_text, schemas, diags);
-      if (diags.has_errors()) {
-        out.error_text += diags.render();
-        out.exit_code = 2;
-        return out;
-      }
-    } else {
-      schemas = schema::builtin_schemas();
-    }
+  const std::optional<schema::SchemaSet> schemas =
+      request.syntax ? load_schemas(request.schemas_text, out.error_text)
+                     : schema::SchemaSet{};
+  if (!schemas) {
+    out.exit_code = 2;
+    return out;
   }
 
   std::shared_ptr<const CheckArtifact> verdict;
@@ -269,18 +222,16 @@ CheckOutcome run_check(const CheckRequest& request, ArtifactStore* store) {
             graph_artifact = store->graph(tree_artifact->key,
                                           tree_artifact->tree);
           }
-          CheckArtifact art = run_checkers(
-              *tree_artifact->tree, request,
-              request.syntax ? &schemas : nullptr,
-              graph_artifact != nullptr ? graph_artifact->graph.get()
-                                        : nullptr);
+          CheckArtifact art = check_tree(
+              *tree_artifact->tree, *schemas, *options,
+              graph_artifact != nullptr ? graph_artifact->graph : nullptr);
           art.key = key;
           return art;
         },
         &out.trace.check_cache_hit);
   } else {
-    verdict = std::make_shared<const CheckArtifact>(run_checkers(
-        *tree_artifact->tree, request, request.syntax ? &schemas : nullptr));
+    verdict = std::make_shared<const CheckArtifact>(
+        check_tree(*tree_artifact->tree, *schemas, *options));
   }
 
   // Suppression runs over a copy of the (possibly cached) verdict: inline

@@ -12,10 +12,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "checkers/battery.hpp"
 #include "schema/schema.hpp"
 #include "server/artifact_store.hpp"
 
@@ -80,18 +83,27 @@ struct CheckOutcome {
 [[nodiscard]] CheckOutcome run_check(const CheckRequest& request,
                                      ArtifactStore* store);
 
-/// The checker battery of run_check over an already-parsed tree — exposed so
-/// the session layer caches per-unit verdicts under composed-tree keys.
-/// `schemas` may be null only when request.syntax is false. Crossref rule
-/// strings must already be valid (run_check validates; the session layer
-/// does not use crossref). `graph` supplies a pre-built device graph for the
-/// graph stage (the store's keyed artifact); null builds one on demand when
-/// request.graph is set. Returns the artifact body (key left 0; the caller
-/// owns keying).
-[[nodiscard]] CheckArtifact run_checkers(
-    const dts::Tree& tree, const CheckRequest& request,
-    const schema::SchemaSet* schemas,
-    const checkers::graph::DeviceGraph* graph = nullptr);
+/// The battery options `request` selects, its rule lists parsed once.
+/// Rule-list errors are appended to `error_text` and yield nullopt (exit 2);
+/// an unknown backend name appends its warning to `backend_warning`.
+[[nodiscard]] std::optional<checkers::BatteryOptions> battery_options(
+    const CheckRequest& request, std::string& error_text,
+    std::string& backend_warning);
+
+/// The schema set a request names: empty text selects the builtin set.
+/// Parse errors are rendered into `error_text` and yield nullopt (exit 2).
+[[nodiscard]] std::optional<schema::SchemaSet> load_schemas(
+    const std::string& schemas_text, std::string& error_text);
+
+/// Runs the checker battery over an already-parsed tree and packages the
+/// verdict: the findings plus the semantic stage's solver/planner counters,
+/// reduced from the battery's own event stream (which then splices into the
+/// caller's sink). `graph` is an optional prebuilt device graph of `tree`.
+/// The key is left 0; the caller owns keying.
+[[nodiscard]] CheckArtifact check_tree(
+    const dts::Tree& tree, const schema::SchemaSet& schemas,
+    const checkers::BatteryOptions& options,
+    std::shared_ptr<const checkers::graph::DeviceGraph> graph = nullptr);
 
 /// Canonical fingerprint of every request field that can change the
 /// *verdict* (format/quiet/stats excluded — they only change rendering).

@@ -5,6 +5,8 @@
 
 namespace llhsc::server {
 
+using support::Json;
+
 namespace {
 
 uint64_t fnv1a_extend(uint64_t h, const std::string& text) {

@@ -14,7 +14,7 @@
 
 #include "server/artifact_store.hpp"
 #include "server/check_service.hpp"
-#include "server/json.hpp"
+#include "support/json.hpp"
 #include "server/session.hpp"
 #include "support/deadline.hpp"
 
@@ -33,30 +33,30 @@ struct CheckCounters {
   std::atomic<uint64_t> cache_errors{0};
 };
 
-[[nodiscard]] CheckRequest check_request_from(const Json& params);
-[[nodiscard]] SessionRequest session_request_from(const Json& params);
-[[nodiscard]] Json check_outcome_json(const CheckOutcome& outcome);
-[[nodiscard]] Json session_outcome_json(const SessionOutcome& outcome);
-[[nodiscard]] Json store_stats_json(const StoreStats& s);
+[[nodiscard]] CheckRequest check_request_from(const support::Json& params);
+[[nodiscard]] SessionRequest session_request_from(const support::Json& params);
+[[nodiscard]] support::Json check_outcome_json(const CheckOutcome& outcome);
+[[nodiscard]] support::Json session_outcome_json(const SessionOutcome& outcome);
+[[nodiscard]] support::Json store_stats_json(const StoreStats& s);
 
 /// {"id": id, "ok": true, "result": result} — unstamped.
-[[nodiscard]] Json ok_response(const Json& id, Json result);
+[[nodiscard]] support::Json ok_response(const support::Json& id, support::Json result);
 /// {"id": id, "ok": false, "error": {"code", "message"}} — unstamped.
-[[nodiscard]] Json error_response(const Json& id, const std::string& code,
+[[nodiscard]] support::Json error_response(const support::Json& id, const std::string& code,
                                   const std::string& message);
 
 /// One response line exactly as the daemon writes it: stamps
 /// `schema_version`, compact dump, trailing newline. Takes the document by
 /// value because every reply gets the stamp exactly once.
-[[nodiscard]] std::string stamp_response_line(Json response,
+[[nodiscard]] std::string stamp_response_line(support::Json response,
                                               int schema_version);
 
 /// Runs one admitted check or session request — deadline clamping of the
 /// solver budget included — and returns the ok-response document. Callers
 /// reject an already-expired deadline *before* calling (so they can count
 /// the rejection); this function only bounds the work that runs.
-[[nodiscard]] Json execute_request(const std::string& method, const Json& id,
-                                   const Json& params,
+[[nodiscard]] support::Json execute_request(const std::string& method, const support::Json& id,
+                                   const support::Json& params,
                                    const support::Deadline& deadline,
                                    ArtifactStore& store,
                                    CheckCounters& counters);
@@ -65,6 +65,6 @@ struct CheckCounters {
 /// source; session: core + deltas identity). Requests for the same source
 /// land on the same worker, so its in-memory ArtifactStore stays hot.
 [[nodiscard]] uint64_t shard_key(const std::string& method,
-                                 const Json& params);
+                                 const support::Json& params);
 
 }  // namespace llhsc::server

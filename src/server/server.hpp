@@ -62,7 +62,7 @@
 #include "obs/obs.hpp"
 #include "server/artifact_store.hpp"
 #include "server/histogram.hpp"
-#include "server/json.hpp"
+#include "support/json.hpp"
 #include "server/runner.hpp"
 #include "support/thread_pool.hpp"
 
@@ -170,7 +170,7 @@ class Server {
   /// line comes back — the retry unit when a worker dies.
   struct Outstanding {
     std::shared_ptr<Connection> conn;
-    Json id;  // echoed on a worker_failed error
+    support::Json id;  // echoed on a worker_failed error
     std::string tenant;
     std::string raw_line;  // the exact client line, for re-dispatch
     uint64_t shard = 0;
@@ -181,7 +181,7 @@ class Server {
   /// A `stats` request waiting on per-worker counter snapshots.
   struct PendingStats {
     std::shared_ptr<Connection> conn;
-    Json id;
+    support::Json id;
     size_t waiting = 0;
     uint64_t checks = 0;
     uint64_t sessions = 0;
@@ -203,19 +203,19 @@ class Server {
   // -- request handling --
   void handle_line(const std::shared_ptr<Connection>& conn,
                    const std::string& line);
-  void handle_stats(const std::shared_ptr<Connection>& conn, const Json& id);
+  void handle_stats(const std::shared_ptr<Connection>& conn, const support::Json& id);
   void handle_healthz(const std::shared_ptr<Connection>& conn,
-                      const Json& id);
-  void handle_hello(const std::shared_ptr<Connection>& conn, const Json& id);
-  void run_in_process(const std::shared_ptr<Connection>& conn, const Json& id,
-                      const std::string& method, const Json& params,
+                      const support::Json& id);
+  void handle_hello(const std::shared_ptr<Connection>& conn, const support::Json& id);
+  void run_in_process(const std::shared_ptr<Connection>& conn, const support::Json& id,
+                      const std::string& method, const support::Json& params,
                       const std::string& tenant, uint64_t deadline_ms);
   void release_admission(const std::string& tenant);
 
   /// Stamps the wire schema_version and enqueues one response line.
-  void respond(const std::shared_ptr<Connection>& conn, Json response,
+  void respond(const std::shared_ptr<Connection>& conn, support::Json response,
                int schema_version = 1);
-  void respond_error(const std::shared_ptr<Connection>& conn, const Json& id,
+  void respond_error(const std::shared_ptr<Connection>& conn, const support::Json& id,
                      const std::string& code, const std::string& message);
   /// Appends pre-serialised bytes to the connection's output buffer and
   /// nudges the event loop. Safe from pool threads.
@@ -232,9 +232,9 @@ class Server {
   void reap_workers();
   void fail_outstanding(uint64_t seq, const std::string& message);
   void send_stats_probe(uint64_t seq, WorkerSlot& slot);
-  void finish_stats(uint64_t seq, const Json* worker_stats);
+  void finish_stats(uint64_t seq, const support::Json* worker_stats);
   void respond_stats_aggregate(const std::shared_ptr<PendingStats>& entry);
-  [[nodiscard]] Json frontend_stats_errors();
+  [[nodiscard]] support::Json frontend_stats_errors();
 
   void log_line(const std::string& text);
 

@@ -2,12 +2,10 @@
 
 #include <sstream>
 
-#include "checkers/graph/rules.hpp"
+#include "checkers/battery.hpp"
 #include "checkers/resource_allocation.hpp"
-#include "lift/lift.hpp"
 #include "dts/printer.hpp"
-#include "schema/builtin_schemas.hpp"
-#include "schema/yaml_lite.hpp"
+#include "lift/lift.hpp"
 #include "support/strings.hpp"
 
 namespace llhsc::server {
@@ -32,12 +30,11 @@ StoreStats stats_delta(const StoreStats& before, const StoreStats& after) {
   return d;
 }
 
-/// CheckRequest carrying the session's per-unit checker options. The
-/// cross-reference engine is off to match the pipeline's stage set.
+/// CheckRequest carrying the session's per-unit checker options. Sessions
+/// carry no rule lists, so crossref and graph rules run at their defaults.
 CheckRequest unit_check_request(const SessionRequest& request) {
   CheckRequest cr;
   cr.lint = request.lint;
-  cr.crossref = false;
   cr.graph = request.graph;
   cr.syntax = request.syntax;
   cr.semantics = request.semantics;
@@ -88,22 +85,19 @@ SessionOutcome run_session_check(const SessionRequest& request,
   }
 
   const CheckRequest unit_request = unit_check_request(request);
+  std::string backend_warning;
+  const std::optional<checkers::BatteryOptions> options =
+      battery_options(unit_request, out.error_text, backend_warning);
+  out.error_text += backend_warning;
 
   // Schema-set parse errors reject the whole request up front, exactly once
   // — never from inside a cached verdict.
-  schema::SchemaSet schemas;
-  if (request.syntax) {
-    if (!request.schemas_text.empty()) {
-      support::DiagnosticEngine diags;
-      schema::load_schema_stream(request.schemas_text, schemas, diags);
-      if (diags.has_errors()) {
-        out.error_text += diags.render();
-        out.exit_code = 2;
-        return finish();
-      }
-    } else {
-      schemas = schema::builtin_schemas();
-    }
+  const std::optional<schema::SchemaSet> schemas =
+      request.syntax ? load_schemas(request.schemas_text, out.error_text)
+                     : schema::SchemaSet{};
+  if (!options || !schemas) {
+    out.exit_code = 2;
+    return finish();
   }
 
   // -- Allocation (global over every product, like the pipeline's stage 1) --
@@ -142,11 +136,8 @@ SessionOutcome run_session_check(const SessionRequest& request,
     auto alloc = store.allocation(alloc_key, [&]() {
       AllocationArtifact art;
       art.key = alloc_key;
-      checkers::ResourceAllocationChecker rac(
-          *model->model, exclusive,
-          request.backend == "z3"          ? smt::Backend::kZ3
-          : request.backend == "portfolio" ? smt::Backend::kPortfolio
-                                           : smt::Backend::kBuiltin);
+      checkers::ResourceAllocationChecker rac(*model->model, exclusive,
+                                              options->backend);
       std::vector<std::set<std::string>> features;
       features.reserve(request.products.size());
       for (const SessionProduct& p : request.products) {
@@ -197,10 +188,7 @@ SessionOutcome run_session_check(const SessionRequest& request,
           CheckArtifact art;
           art.key = lifted_key;
           lift::LiftOptions opts;
-          opts.backend = request.backend == "z3" ? smt::Backend::kZ3
-                         : request.backend == "portfolio"
-                             ? smt::Backend::kPortfolio
-                             : smt::Backend::kBuiltin;
+          opts.backend = options->backend;
           opts.max_configs = request.lifted_max_configs;
           opts.exclusive_features = request.exclusive;
           support::DiagnosticEngine diags;
@@ -297,13 +285,10 @@ SessionOutcome run_session_check(const SessionRequest& request,
           if (unit_request.graph) {
             graph_artifact = store.graph(composed_key, composed->tree);
           }
-          CheckArtifact art = run_checkers(
-              *composed->tree, unit_request,
-              unit_request.syntax ? &schemas : nullptr,
-              graph_artifact != nullptr ? graph_artifact->graph.get()
-                                        : nullptr);
+          CheckArtifact art = check_tree(
+              *composed->tree, *schemas, *options,
+              graph_artifact != nullptr ? graph_artifact->graph : nullptr);
           art.key = check_key;
-          checkers::sort_by_location(art.findings);
           return art;
         },
         &unit.check_cache_hit);
@@ -342,9 +327,7 @@ SessionOutcome run_session_check(const SessionRequest& request,
             unit_graphs.push_back({pg.name, ga->graph.get()});
             artifacts.push_back(std::move(ga));
           }
-          art.findings = checkers::graph::check_exclusive_providers(
-              unit_graphs);
-          checkers::sort_by_location(art.findings);
+          art.findings = checkers::run_cross_unit(unit_graphs);
           return art;
         },
         &cross_hit);

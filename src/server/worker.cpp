@@ -15,6 +15,8 @@
 
 namespace llhsc::server {
 
+using support::Json;
+
 namespace {
 
 using Clock = std::chrono::steady_clock;

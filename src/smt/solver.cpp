@@ -21,6 +21,15 @@ std::string_view to_string(Backend b) {
   return "unknown";
 }
 
+Backend backend_from_name(std::string_view name, std::string& warning) {
+  for (Backend b : all_backends()) {
+    if (name == to_string(b)) return b;
+  }
+  warning += "warning: unknown backend '" + std::string(name) +
+             "', using builtin\n";
+  return Backend::kBuiltin;
+}
+
 std::string_view to_string(CheckResult r) {
   switch (r) {
     case CheckResult::kSat: return "sat";

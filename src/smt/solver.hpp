@@ -33,6 +33,11 @@ enum class CheckResult : uint8_t { kSat, kUnsat, kUnknown };
 enum class Backend : uint8_t { kBuiltin, kZ3, kPortfolio };
 
 [[nodiscard]] std::string_view to_string(Backend b);
+/// The inverse of to_string(Backend), as the --backend flag and request
+/// fields spell it. An unknown name selects kBuiltin and appends
+/// "warning: unknown backend '<name>', using builtin\n" to `warning`.
+[[nodiscard]] Backend backend_from_name(std::string_view name,
+                                        std::string& warning);
 [[nodiscard]] std::string_view to_string(CheckResult r);
 
 struct SolverStats {

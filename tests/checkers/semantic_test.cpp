@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <random>
+#include <type_traits>
 
 #include "checkers/interval_baseline.hpp"
 #include "dts/parser.hpp"
@@ -737,11 +740,19 @@ TEST(SemanticTimeout, GenerousBudgetDoesNotFire) {
 }
 
 // Property sweep: random region sets, solver verdict vs interval arithmetic.
+//
+// gtest names each case by its parameter's raw bytes. The three bytes after
+// `backend` used to be padding, printed as whatever memory held (a heap
+// address byte among it, so names moved with ASLR from run to run). They are
+// now a field, pinned to the bytes the case names were first recorded with.
 struct RandomRegionsCase {
   uint32_t seed;
   smt::Backend backend;
+  std::array<uint8_t, 3> name_tail;
   int count;
 };
+static_assert(std::has_unique_object_representations_v<RandomRegionsCase>,
+              "every byte of a case must be set: gtest prints them all");
 
 class RandomRegionsTest : public ::testing::TestWithParam<RandomRegionsCase> {};
 
@@ -836,11 +847,23 @@ TEST_P(RandomRegionsTest, PlannedPathMatchesExhaustiveAndBaseline) {
       << "solver path and structural baseline must agree on the verdict";
 }
 
+// The recorded `name_tail` of a case; zero for all but these seeds.
+std::array<uint8_t, 3> recorded_name_tail(uint32_t seed) {
+  switch (seed) {
+    case 1: return {0x55, 0x00, 0x00};
+    case 2: return {0x61, 0x6E, 0x74};
+    case 12: return {0x70, 0x70, 0x00};
+    default: return {};
+  }
+}
+
 std::vector<RandomRegionsCase> region_cases() {
   std::vector<RandomRegionsCase> cases;
   for (uint32_t seed = 1; seed <= 6; ++seed) {
-    cases.push_back({seed, smt::Backend::kBuiltin, 8});
-    cases.push_back({seed + 10, smt::Backend::kZ3, 8});
+    cases.push_back(
+        {seed, smt::Backend::kBuiltin, recorded_name_tail(seed), 8});
+    cases.push_back(
+        {seed + 10, smt::Backend::kZ3, recorded_name_tail(seed + 10), 8});
   }
   return cases;
 }

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "checkers/lint.hpp"
+#include "checkers/semantic.hpp"
+#include "checkers/syntactic.hpp"
 #include "core/pipeline.hpp"
 #include "fdt/fdt.hpp"
 

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <random>
+#include <type_traits>
 
 namespace llhsc::feature {
 namespace {
@@ -282,10 +285,18 @@ INSTANTIATE_TEST_SUITE_P(Backends, AnalysisTest,
                          });
 
 // Property sweep: random feature models, solver count == brute-force count.
+//
+// gtest names each case by its parameter's raw bytes. The three bytes after
+// `backend` used to be padding, printed as whatever memory held (a heap
+// address byte among it, so names moved with ASLR from run to run). They are
+// now a field, pinned to the bytes the case names were first recorded with.
 struct RandomModelCase {
   uint32_t seed;
   smt::Backend backend;
+  std::array<uint8_t, 3> name_tail{};
 };
+static_assert(std::has_unique_object_representations_v<RandomModelCase>,
+              "every byte of a case must be set: gtest prints them all");
 
 class RandomModelTest : public ::testing::TestWithParam<RandomModelCase> {};
 
@@ -321,11 +332,21 @@ TEST_P(RandomModelTest, CountMatchesBruteForce) {
   EXPECT_EQ(count_products(m, solver), brute);
 }
 
+// The recorded `name_tail` of a case; zero for all but these seeds.
+std::array<uint8_t, 3> recorded_name_tail(uint32_t seed) {
+  switch (seed) {
+    case 1: case 2: case 3: case 102: return {0x55, 0x00, 0x00};
+    case 4: return {0x69, 0x6E, 0x00};
+    default: return {};
+  }
+}
+
 std::vector<RandomModelCase> random_cases() {
   std::vector<RandomModelCase> cases;
   for (uint32_t seed = 1; seed <= 10; ++seed) {
-    cases.push_back({seed, smt::Backend::kBuiltin});
-    cases.push_back({seed + 100, smt::Backend::kZ3});
+    cases.push_back({seed, smt::Backend::kBuiltin, recorded_name_tail(seed)});
+    cases.push_back({seed + 100, smt::Backend::kZ3,
+                     recorded_name_tail(seed + 100)});
   }
   return cases;
 }

@@ -1,8 +1,8 @@
-#include "server/json.hpp"
+#include "support/json.hpp"
 
 #include <gtest/gtest.h>
 
-namespace llhsc::server {
+namespace llhsc::support {
 namespace {
 
 TEST(Json, ScalarRoundTrip) {
@@ -99,4 +99,4 @@ TEST(Json, DumpParseRoundTripIsStable) {
 }
 
 }  // namespace
-}  // namespace llhsc::server
+}  // namespace llhsc::support

@@ -20,6 +20,8 @@
 #include "server/check_service.hpp"
 
 namespace llhsc::server {
+
+using support::Json;
 namespace {
 
 constexpr const char* kDts = R"(/dts-v1/;

@@ -255,6 +255,25 @@ TEST(Session, AllocationRequiresModel) {
   EXPECT_NE(out.error_text.find("feature model"), std::string::npos);
 }
 
+// An unknown backend falls back to builtin with the exact warning text the
+// one-shot check prints, instead of switching silently.
+TEST(Session, UnknownBackendWarnsLikeCheck) {
+  ArtifactStore store;
+  SessionRequest request = base_request();
+  request.backend = "bogus";
+  SessionOutcome out = run_session_check(request, store);
+  EXPECT_EQ(out.exit_code, 0) << out.error_text;
+  EXPECT_EQ(out.error_text,
+            "warning: unknown backend 'bogus', using builtin\n");
+  EXPECT_EQ(out.units.size(), 2u);
+
+  CheckRequest check;
+  check.path = "core.dts";
+  check.source = kCore;
+  check.backend = "bogus";
+  EXPECT_EQ(run_check(check, nullptr).error_text, out.error_text);
+}
+
 constexpr const char* kLiftedModel =
     "model T {\n"
     "  fa;\n"

@@ -41,7 +41,7 @@ overhead = graphed / ungraphed - 1.0
 result = {
     "pr": 6,
     "workload": "planned eight-VM pipeline (alternating Fig. 1b / Fig. 1c), "
-                "device-graph stage on vs check_graph=false",
+                "device-graph stage on vs checks.graph=false",
     "context": pooled["context"],
     "summary": {
         "graph_on_min_us": graphed,

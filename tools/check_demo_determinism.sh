@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Asserts the pipeline's determinism guarantee at the CLI level: a --jobs 4
 # demo run writes byte-identical artifacts and findings output to a --jobs 1
-# run, and --trace-json produces a complete trace.
+# run, and --trace-json produces a version-2 trace.
 # Usage: check_demo_determinism.sh <llhsc-binary>
 set -eu
 
@@ -22,7 +22,7 @@ sed "s|$TMP/parallel|OUT|" "$TMP/parallel.out" > "$TMP/parallel.norm"
 diff "$TMP/serial.norm" "$TMP/parallel.norm"
 
 grep -q '"jobs": 4' "$TMP/trace.json"
-grep -q '"complete": true' "$TMP/trace.json"
+grep -q '"schema_version": 2' "$TMP/trace.json"
 grep -q '"stage": "semantic"' "$TMP/trace.json"
 # --verbose printed the summary table on stderr.
 grep -q 'solver checks' "$TMP/parallel.err"

@@ -53,11 +53,9 @@
 #include <sstream>
 
 #include "api/llhsc.hpp"
+#include "checkers/battery.hpp"
 #include "checkers/crossref/rules.hpp"
-#include "checkers/lint.hpp"
 #include "checkers/report.hpp"
-#include "checkers/semantic.hpp"
-#include "checkers/syntactic.hpp"
 #include "core/pipeline.hpp"
 #include "core/running_example.hpp"
 #include "dts/overlay.hpp"
@@ -120,13 +118,11 @@ std::optional<ParsedFlags> parse_or_report(const std::vector<FlagSpec>& specs,
 }
 
 smt::Backend backend_from(const ParsedFlags& args) {
-  std::string name = args.value("backend", "builtin");
-  if (name == "z3") return smt::Backend::kZ3;
-  if (name == "portfolio") return smt::Backend::kPortfolio;
-  if (name != "builtin") {
-    std::cerr << "warning: unknown backend '" << name << "', using builtin\n";
-  }
-  return smt::Backend::kBuiltin;
+  std::string warning;
+  const smt::Backend backend =
+      smt::backend_from_name(args.value("backend", "builtin"), warning);
+  std::cerr << warning;
+  return backend;
 }
 
 schema::SchemaSet schemas_from(const ParsedFlags& args) {
@@ -586,13 +582,10 @@ int cmd_generate(int argc, char** argv) {
     return 1;
   }
 
-  smt::Backend backend = backend_from(args);
-  schema::SchemaSet schemas = schemas_from(args);
-  checkers::SyntacticChecker syn(schemas, backend);
-  checkers::SemanticChecker sem(backend);
-  checkers::Findings findings = syn.check(*tree);
-  checkers::Findings sem_f = sem.check(*tree);
-  findings.insert(findings.end(), sem_f.begin(), sem_f.end());
+  checkers::BatteryOptions checks;
+  checks.backend = backend_from(args);
+  const checkers::Findings findings =
+      checkers::run_battery(*tree, schemas_from(args), checks);
   std::cout << checkers::render(findings);
   if (checkers::error_count(findings) > 0) {
     std::cerr << "product rejected by the checkers\n";
@@ -642,11 +635,11 @@ int cmd_demo(int argc, char** argv) {
     return 2;
   }
   core::PipelineOptions opts;
-  opts.backend = backend_from(args);
+  opts.checks.backend = backend_from(args);
+  opts.checks.solver_timeout_ms = args.uint_value("solver-timeout-ms", 0);
+  opts.checks.plan = !args.has("no-plan");
+  opts.checks.cache_dir = args.value("cache-dir");
   opts.jobs = static_cast<unsigned>(args.uint_value("jobs", 1));
-  opts.solver_timeout_ms = args.uint_value("solver-timeout-ms", 0);
-  opts.plan_queries = !args.has("no-plan");
-  opts.cache_dir = args.value("cache-dir");
   core::Pipeline pipeline(model, core::exclusive_cpus(model), *pl, schemas,
                           opts);
   core::PipelineResult result = pipeline.run(
