@@ -6,8 +6,6 @@
 // is the capability the SMT path buys).
 #include <benchmark/benchmark.h>
 
-#include <filesystem>
-
 #include "bench_common.hpp"
 #include "checkers/semantic.hpp"
 #include "core/running_example.hpp"
@@ -43,7 +41,7 @@ BENCHMARK(BM_RunningExampleClash)->Arg(0)->Arg(1);
 
 // Sweep: disjoint regions (all-UNSAT workload), region count on x-axis.
 // plan=false pins the exhaustive one-query-per-pair path this sweep has
-// always measured; BM_OverlapCheckPlanner covers the planned modes.
+// always measured.
 void BM_OverlapCheckDisjoint(benchmark::State& state) {
   auto regions =
       benchgen::synthetic_regions(static_cast<int>(state.range(0)), false);
@@ -89,59 +87,6 @@ void BM_OverlapCheckIntervalBaseline(benchmark::State& state) {
   state.SetLabel("interval-baseline");
 }
 BENCHMARK(BM_OverlapCheckIntervalBaseline)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
-
-// The query-planner ablation on one collision-bearing workload:
-//   mode 0 — exhaustive: one push/check/pop per pair (the pre-planner path)
-//   mode 1 — planned: sweep-line prefilter + batched guarded queries
-//   mode 2 — warm cache: planned, with every verdict replayed from a
-//            pre-populated --cache-dir (zero solver queries)
-void BM_OverlapCheckPlanner(benchmark::State& state) {
-  auto regions =
-      benchgen::synthetic_regions(static_cast<int>(state.range(0)), true);
-  const int64_t mode = state.range(2);
-  checkers::SemanticOptions opts;
-  opts.plan = mode != 0;
-  std::string cache_dir;
-  if (mode == 2) {
-    cache_dir = (std::filesystem::temp_directory_path() /
-                 ("llhsc-bench-qc-" + std::string(smt::to_string(backend_of(
-                                          state.range(1))))))
-                    .string();
-    std::filesystem::remove_all(cache_dir);
-    opts.cache_dir = cache_dir;
-    // Prime the cache outside the timed loop.
-    checkers::SemanticChecker warmup(backend_of(state.range(1)), opts);
-    benchmark::DoNotOptimize(warmup.check_regions(regions));
-  }
-  uint64_t checks = 0, issued = 0, pruned = 0, hits = 0;
-  for (auto _ : state) {
-    checkers::SemanticChecker checker(backend_of(state.range(1)), opts);
-    benchmark::DoNotOptimize(checker.check_regions(regions));
-    checks = checker.solver_checks();
-    issued = checker.plan_stats().queries_issued;
-    pruned = checker.plan_stats().queries_pruned;
-    hits = checker.plan_stats().cache_hits;
-  }
-  if (!cache_dir.empty()) std::filesystem::remove_all(cache_dir);
-  state.counters["regions"] = static_cast<double>(regions.size());
-  state.counters["solver_checks"] = static_cast<double>(checks);
-  state.counters["queries_issued"] = static_cast<double>(issued);
-  state.counters["queries_pruned"] = static_cast<double>(pruned);
-  state.counters["cache_hits"] = static_cast<double>(hits);
-  const char* mode_name[] = {"exhaustive", "planned", "warm-cache"};
-  state.SetLabel(std::string(smt::to_string(backend_of(state.range(1)))) +
-                 "/" + mode_name[mode]);
-}
-BENCHMARK(BM_OverlapCheckPlanner)
-    ->Args({16, 0, 0})
-    ->Args({16, 0, 1})
-    ->Args({16, 0, 2})
-    ->Args({32, 0, 0})
-    ->Args({32, 0, 1})
-    ->Args({32, 0, 2})
-    ->Args({32, 1, 0})
-    ->Args({32, 1, 1})
-    ->Args({32, 1, 2});
 
 // Address-width sweep (bit-blasting cost grows with width; Z3 less so).
 void BM_OverlapCheckWidth(benchmark::State& state) {

@@ -15,9 +15,9 @@
 // library code can instrument unconditionally.
 //
 // `set_enabled(false)` is a kill switch for *span* capture (the timing
-// layer, benchmarked by tools/bench_pr5.sh). Counter events are always
-// recorded: they are the accounting substrate behind check verdict counters
-// and must not change with profiling preferences.
+// layer, whose cost perfbench reports as obs.trace_overhead). Counter
+// events are always recorded: they are the accounting substrate behind
+// check verdict counters and must not change with profiling preferences.
 #pragma once
 
 #include <array>
